@@ -1,6 +1,8 @@
 //! Figure 9: runtime breakdown of the E-morphic flow — how much of the total
 //! wall-clock time is spent in the conventional delay-oriented flow, in
-//! e-graph conversion, and in SA extraction, for both cost models.
+//! e-graph conversion, and in SA extraction, for both cost models. Every row
+//! also reports whether the flow proved its result against the input; the
+//! binary exits non-zero if any row is unproved.
 //!
 //! Usage: `cargo run -p emorphic-bench --bin fig9 --release`
 
@@ -20,6 +22,7 @@ fn main() {
         .map(|c| c.aig.clone())
         .collect();
     let (model, _, _) = train_learned_model(&training, 5);
+    let mut unproved = Vec::new();
 
     for (title, use_ml) in [
         ("E-morphic with ABC-style mapping cost model", false),
@@ -27,8 +30,13 @@ fn main() {
     ] {
         println!("\n== {title} ==");
         println!(
-            "{:<12} {:>22} {:>20} {:>18} {:>8}",
-            "circuit", "delay-oriented flow %", "egraph conversion %", "SA extraction %", "CEC %"
+            "{:<12} {:>22} {:>20} {:>18} {:>8} {:>7}",
+            "circuit",
+            "delay-oriented flow %",
+            "egraph conversion %",
+            "SA extraction %",
+            "CEC %",
+            "proved"
         );
         for circuit in circuits.iter().rev() {
             let cfg = if use_ml {
@@ -40,13 +48,26 @@ fn main() {
             let (conventional, conversion, extraction, verification) =
                 result.breakdown.percentages();
             println!(
-                "{:<12} {:>22.1} {:>20.1} {:>18.1} {:>8.1}",
-                circuit.name, conventional, conversion, extraction, verification
+                "{:<12} {:>22.1} {:>20.1} {:>18.1} {:>8.1} {:>7}",
+                circuit.name,
+                conventional,
+                conversion,
+                extraction,
+                verification,
+                if result.verified { "yes" } else { "NO" }
             );
+            if !result.verified {
+                unproved.push(format!("{} ({title})", circuit.name));
+            }
         }
     }
 
     println!("\nPaper (Fig. 9): the conventional delay-oriented flow dominates the runtime,");
     println!("the e-graph conversion is negligible, and the SA extraction share shrinks on");
     println!("the larger circuits; the ML cost model further reduces the extraction share.");
+
+    if !unproved.is_empty() {
+        eprintln!("FAIL: unproved results: {}", unproved.join(", "));
+        std::process::exit(1);
+    }
 }

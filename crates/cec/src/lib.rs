@@ -10,8 +10,13 @@
 //!   single AIG by simulation-guided candidate grouping plus SAT proofs —
 //!   the engine behind structural *choice* computation in `logic-opt`.
 //!
-//! Every circuit that E-morphic produces is verified against the original
-//! with [`check_equivalence`], mirroring the paper's use of `cec` in ABC.
+//! * [`check_equivalence_swept`] SAT-sweeps the miter first, so structurally
+//!   aligned cones merge bottom-up before the output queries, as ABC's `cec`
+//!   does.
+//!
+//! Every circuit that E-morphic produces is proved against the circuit the
+//! user submitted with [`check_equivalence_swept`], mirroring the paper's use
+//! of `cec` in ABC.
 
 #![warn(missing_docs)]
 

@@ -8,8 +8,13 @@
 //!   inserted before the final mapping round: DAG-to-DAG conversion, a small
 //!   number of Table-I rewriting iterations, and parallel simulated-annealing
 //!   extraction guided by either the technology mapper (quality mode) or the
-//!   learned cost model (runtime mode). The result is verified against the
-//!   input with SAT-based CEC, mirroring the paper's use of `cec`.
+//!   learned cost model (runtime mode).
+//!
+//! One verification policy covers every result, mirroring the paper's use
+//! of ABC's `cec`: swept CEC ([`cec::check_equivalence_swept`]) against the
+//! circuit the user submitted, so prepare is part of the proof.
+//! [`emorphic_flow`] and the job server apply it through [`verify_network`];
+//! [`emorphic_map_flow`] runs the same check on its mapped netlist.
 //!
 //! Both flows record a wall-clock breakdown (conventional optimization,
 //! e-graph conversion, SA extraction) used to regenerate Fig. 9.
@@ -30,7 +35,7 @@ use audit::{
     audit_aig_dag_only, audit_choices, audit_egraph, audit_netlist, audit_partition,
     audit_stitched, AuditLevel, AuditReport,
 };
-use cec::{check_equivalence, CecOptions};
+use cec::{CecOptions, CecResult};
 use choices::{
     egraph_to_choices_with_selection, BoolNode, ChoiceConfig, ChoiceCost, ChoiceError,
     ClassSelection, ExportStats,
@@ -89,15 +94,17 @@ pub struct FlowConfig {
     pub extract_budget: ExtractBudget,
     /// Cost model used during extraction.
     pub cost_mode: CostMode,
-    /// Verify the resynthesized circuit against the input with CEC.
+    /// Prove the result against the submitted circuit with swept CEC (see
+    /// [`verify_network`]).
     pub verify: bool,
-    /// CEC options used for verification. The conflict budget must stay
-    /// bounded: suite circuits include multipliers, whose miters plain CDCL
-    /// cannot close, and an unlimited budget wedges the whole flow.
+    /// CEC options of the verification check: its simulation refutation
+    /// and the output queries left after sweeping. The conflict budget must
+    /// stay bounded, or one hard miter wedges the whole flow.
     pub cec: CecOptions,
-    /// Sweep options used by the fraig-style CEC gate (and anywhere the flow
-    /// SAT-sweeps). Budgeted in lockstep with [`FlowConfig::cec`] so one knob
-    /// bounds every SAT call on the flow's critical path.
+    /// Sweep options of the verification check, which merges equivalent
+    /// internal nodes of the miter bottom-up before the output queries.
+    /// Budgeted in lockstep with [`FlowConfig::cec`] so one knob bounds
+    /// every SAT call of the check.
     pub sweep: cec::SweepOptions,
     /// How much invariant auditing the flow performs at phase boundaries
     /// (saturate, extract, choice-export, map): [`AuditLevel::Off`] costs
@@ -438,6 +445,28 @@ pub fn map_network(aig: &Aig, config: &FlowConfig) -> (Aig, Netlist) {
     conventional_round(aig, config, false)
 }
 
+/// The verification phase of [`emorphic_flow`] and the job server: proves
+/// `resynthesized` against the `submitted` circuit with swept CEC when
+/// `config.verify` is set, and returns the network to map plus whether it
+/// was proved. A proven mismatch falls back to the `prepared` network; an
+/// exhausted SAT budget keeps `resynthesized` (random simulation found no
+/// mismatch) but reports it unproved.
+pub fn verify_network(
+    submitted: &Aig,
+    prepared: &Aig,
+    resynthesized: Aig,
+    config: &FlowConfig,
+) -> (Aig, bool) {
+    if !config.verify {
+        return (resynthesized, true);
+    }
+    match cec::check_equivalence_swept(submitted, &resynthesized, &config.cec, &config.sweep) {
+        CecResult::Equivalent => (resynthesized, true),
+        CecResult::NotEquivalent(_) => (prepared.clone(), false),
+        CecResult::Unknown => (resynthesized, false),
+    }
+}
+
 /// Wall-clock breakdown of a flow run (the Fig. 9 data).
 ///
 /// The four parts are measured over *disjoint* intervals of the flow — the
@@ -491,10 +520,11 @@ pub struct FlowResult {
     pub breakdown: RuntimeBreakdown,
     /// The technology-independent network right before the final mapping.
     pub final_aig: Aig,
-    /// Whether CEC *proved* equivalence against the input (always `true`
-    /// when verification is disabled). `false` also covers an exhausted SAT
-    /// budget: the resynthesized network is kept in that case — random
-    /// simulation found no mismatch — but the proof did not complete.
+    /// Whether swept CEC *proved* the mapped network equivalent to the
+    /// submitted circuit, prepare included (always `true` when verification
+    /// is disabled). `false` also covers an exhausted SAT budget: the
+    /// resynthesized network is kept in that case — random simulation found
+    /// no mismatch — but the proof did not complete.
     pub verified: bool,
     /// Statistics of the rewriting phase (empty for the baseline flow).
     pub egraph_nodes: usize,
@@ -688,23 +718,9 @@ pub fn emorphic_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
         window,
     } = phase;
 
-    // Verify, and fall back to the pre-resynthesis network on a proven
-    // mismatch. An exhausted SAT budget keeps the resynthesized network
-    // (simulation inside `check_equivalence` already failed to refute it)
-    // but leaves `verified` false.
-    let mut verified = true;
-    let mut resynthesized = extracted_aig.unwrap_or_else(|| current.clone());
+    let resynthesized = extracted_aig.unwrap_or_else(|| current.clone());
     let t_verify = Instant::now();
-    if config.verify {
-        match check_equivalence(&current, &resynthesized, &config.cec) {
-            cec::CecResult::Equivalent => {}
-            cec::CecResult::NotEquivalent(_) => {
-                verified = false;
-                resynthesized = current.clone();
-            }
-            cec::CecResult::Unknown => verified = false,
-        }
-    }
+    let (resynthesized, verified) = verify_network(aig, &current, resynthesized, config);
     let verification_time = t_verify.elapsed();
 
     // Backward conversion time is part of the extraction phase already; the
@@ -903,7 +919,8 @@ pub struct MapFlowResult {
     /// Worst slack of the kept netlist in ps: effective delay target minus
     /// critical-path delay (non-negative by construction).
     pub worst_slack_ps: f64,
-    /// Whether SAT CEC *proved* the mapped netlist equivalent to the input.
+    /// Whether swept CEC *proved* the mapped netlist equivalent to the
+    /// submitted circuit.
     pub verified: bool,
     /// Choice-export statistics (live classes, alternatives, rejections).
     pub export: ExportStats,
@@ -975,19 +992,14 @@ fn effective_choice_config(config: &MapFlowConfig) -> ChoiceConfig {
 
 /// Builds the choice space from one e-graph over the whole design.
 fn monolithic_choice_space(aig: &Aig, config: &MapFlowConfig) -> Result<ChoiceSpace, MapFlowError> {
-    // Saturation (same knobs as `emorphic_flow`).
-    let conversion = aig_to_egraph(&aig.strash_copy());
-    let runner = Runner::with_egraph(conversion.egraph)
-        .with_iter_limit(config.flow.rewrite_iterations)
-        .with_node_limit(config.flow.node_limit)
-        .with_scheduler(Scheduler::Backoff {
-            match_limit: config.flow.match_limit,
-            ban_length: 2,
-        })
-        .with_search_threads(config.flow.search_threads)
-        .run(&all_rules());
-    let egraph = runner.egraph;
-    let roots: Vec<egraph::Id> = conversion.roots.iter().map(|&r| egraph.find(r)).collect();
+    let SaturatedState {
+        egraph,
+        roots,
+        name,
+        input_names,
+        output_names,
+        ..
+    } = saturate_network(&aig.strash_copy(), &config.flow);
     let audit_level = config.flow.audit_level;
     let mut audit = AuditReport::new();
     audit.absorb("saturate", audit_egraph(&egraph, audit_level));
@@ -1018,9 +1030,9 @@ fn monolithic_choice_space(aig: &Aig, config: &MapFlowConfig) -> Result<ChoiceSp
     let (network, export) = egraph_to_choices_with_selection(
         &egraph,
         &roots,
-        &conversion.input_names,
-        &conversion.output_names,
-        &conversion.name,
+        &input_names,
+        &output_names,
+        &name,
         &effective_choice_config(config),
         &selection,
     )?;
@@ -1172,6 +1184,7 @@ fn map_choice_space(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cec::check_equivalence;
 
     #[test]
     fn baseline_flow_produces_sane_qor() {

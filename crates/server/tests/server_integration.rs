@@ -8,9 +8,9 @@
 // test relaxation does not reach them.
 #![allow(clippy::unwrap_used)]
 
-use emorphic::flow::FlowConfig;
+use emorphic::flow::{emorphic_flow, FlowConfig};
 use emorphic::ExtractorKind;
-use emorphic_server::{JobRequest, JobState, ServerOptions, SynthesisServer};
+use emorphic_server::{serve_one, JobRequest, JobState, ServerOptions, SynthesisServer};
 use std::time::{Duration, Instant};
 
 /// Bit-identity proxy: `Aig` intentionally has no `PartialEq` (equality of
@@ -187,4 +187,23 @@ fn batch_of_duplicates_is_served_deterministically() {
     assert!(bytes.windows(2).all(|w| w[0] == w[1]));
     assert_eq!(server.cached_results(), 1);
     assert_eq!(server.stats().saturations, 1);
+}
+
+#[test]
+fn served_result_matches_emorphic_flow() {
+    // The server runs the flow's phases and its verifier, so a cold job
+    // lands on exactly what `emorphic_flow` produces.
+    let circuit = benchgen::multiplier(4).aig;
+    let config = FlowConfig::fast();
+    let flow = emorphic_flow(&circuit, &config);
+    let status = serve_one(JobRequest::new(circuit, config)).unwrap();
+    assert_eq!(status.state, JobState::Completed);
+    let served = status.result.unwrap();
+    assert_eq!(
+        served.final_aig.structural_fingerprint(),
+        flow.final_aig.structural_fingerprint()
+    );
+    assert_eq!(served.qor, flow.qor);
+    assert_eq!(served.verified, flow.verified);
+    assert!(served.verified);
 }
