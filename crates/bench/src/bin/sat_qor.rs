@@ -14,11 +14,13 @@
 //!   wall time than the reference on every circuit.
 //! * **Sweeps** — `SatSweeper::find_equivalences` over a choice-rich stacked
 //!   network, with counterexample-guided class refinement on vs off. The
-//!   binary asserts refinement needs fewer SAT calls per proved class.
+//!   binary asserts refinement needs no more SAT calls per proved class and,
+//!   when neither run hit the conflict budget, that every class the
+//!   refinement-off run proves is also proved with refinement on.
 //!
 //! Results go to `BENCH_sat.json` (a `{"miters": [...], "sweeps": [...]}`
 //! object; each miter row carries per-engine conflicts/propagations/time,
-//! each sweep row the SAT-call and split counters).
+//! each sweep row the SAT-call, structural-proof and split counters).
 //!
 //! Usage: `cargo run -p emorphic-bench --bin sat_qor --release [-- --smoke]`
 //! Set `EMORPHIC_SCALE=tiny|small|default` to control circuit sizes.
@@ -49,6 +51,7 @@ struct SweepRecord {
     circuit: String,
     cex_refinement: bool,
     sat_calls: usize,
+    structural: usize,
     proved_classes: usize,
     redundant_nodes: usize,
     resimulations: usize,
@@ -315,10 +318,11 @@ fn main() {
     // Sweep workload: a choice-rich network (circuit stacked with two of its
     // restructurings) swept with and without counterexample refinement.
     println!(
-        "\n{:<14} {:<6} {:>9} {:>8} {:>9} {:>7} {:>7} {:>11} {:>9}",
+        "\n{:<14} {:<6} {:>9} {:>10} {:>8} {:>9} {:>7} {:>7} {:>11} {:>9}",
         "circuit",
         "cex",
         "sat_calls",
+        "structural",
         "classes",
         "redundant",
         "resim",
@@ -331,6 +335,8 @@ fn main() {
         let stacked = aig::stack_over_shared_inputs(golden, &logic_opt::balance(golden), "_b");
         let stacked = aig::stack_over_shared_inputs(&stacked, &logic_opt::rewrite(&stacked), "_c");
         let mut calls_per_class = [f64::NAN; 2];
+        // Proved classes and whether the budget cut any pair, per run.
+        let mut outcomes = Vec::with_capacity(2);
         for cex_refinement in [true, false] {
             // One simulation word (64 patterns) leaves plenty of aliased
             // candidates for SAT to refute — the regime where refinement pays.
@@ -346,10 +352,11 @@ fn main() {
             let cpc = stats.sat_calls as f64 / proved_classes.max(1) as f64;
             calls_per_class[usize::from(!cex_refinement)] = cpc;
             println!(
-                "{:<14} {:<6} {:>9} {:>8} {:>9} {:>7} {:>7} {:>11.2} {:>9.3}",
+                "{:<14} {:<6} {:>9} {:>10} {:>8} {:>9} {:>7} {:>7} {:>11.2} {:>9.3}",
                 name,
                 if cex_refinement { "on" } else { "off" },
                 stats.sat_calls,
+                stats.structural,
                 proved_classes,
                 classes.num_redundant(),
                 stats.resimulations,
@@ -361,6 +368,7 @@ fn main() {
                 circuit: name.clone(),
                 cex_refinement,
                 sat_calls: stats.sat_calls,
+                structural: stats.structural,
                 proved_classes,
                 redundant_nodes: classes.num_redundant(),
                 resimulations: stats.resimulations,
@@ -368,6 +376,7 @@ fn main() {
                 calls_per_class: cpc,
                 sweep_s,
             });
+            outcomes.push((classes.classes, stats.unknown));
         }
         if calls_per_class[0] > calls_per_class[1] {
             eprintln!(
@@ -375,6 +384,17 @@ fn main() {
                 calls_per_class[0], calls_per_class[1]
             );
             violations += 1;
+        }
+        // Proofs are exact, so without budget cuts both runs must agree on
+        // every class the refinement-off run proves. (That run drops a
+        // refuted member instead of re-grouping it, so it may prove fewer.)
+        if let [(on, 0), (off, 0)] = outcomes.as_slice() {
+            if let Some(class) = off.iter().find(|c| !on.contains(c)) {
+                eprintln!(
+                    "{name}: refinement on and off proved different classes (off-only: {class:?})"
+                );
+                violations += 1;
+            }
         }
     }
 

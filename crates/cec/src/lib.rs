@@ -9,6 +9,10 @@
 //! * [`SatSweeper`] detects internal functionally equivalent nodes of a
 //!   single AIG by simulation-guided candidate grouping plus SAT proofs —
 //!   the engine behind structural *choice* computation in `logic-opt`.
+//!   Like ABC's fraig it reuses its proofs: proved nodes are substituted by
+//!   their representatives in a lazily loaded CNF, pairs whose substituted
+//!   fanins coincide are proved without SAT, and every SAT proof adds its
+//!   equality clauses to the solver.
 //!
 //! * [`check_equivalence_swept`] SAT-sweeps the miter first, so structurally
 //!   aligned cones merge bottom-up before the output queries, as ABC's `cec`

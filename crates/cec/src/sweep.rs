@@ -6,17 +6,36 @@
 //! bit-parallel random simulation and then proved (or refuted) with SAT on a
 //! single incremental solver shared across the whole sweep.
 //!
+//! Every proof is reused, as in ABC's fraig:
+//!
+//! * A member proved equal to its class representative is recorded in a
+//!   representative map. Before a pair goes to SAT, both nodes' fanins are
+//!   mapped through it; when the two AND gates then read the same fanin
+//!   literals, the pair is proved structurally, with no SAT call
+//!   ([`SweepStats::structural`]).
+//! * The CNF is loaded lazily: a node gets a SAT variable only when its cone
+//!   is first queried, and its AND clauses read its fanins' representatives.
+//!   A strash table over SAT-literal pairs gives merged, structurally
+//!   identical nodes one variable, so a pair whose substituted cones coincide
+//!   is also proved without a solver call.
+//! * After each SAT proof the equality clauses `(¬a ∨ b)(a ∨ ¬b)` go into the
+//!   solver, so deeper proofs in the already-loaded cones can use them.
+//!
 //! When a proof attempt *fails*, the SAT model is a distinguishing input
-//! pattern. With [`SweepOptions::cex_refinement`] enabled (the default) that
-//! pattern is resimulated through the network and used to split the current
-//! and all still-pending candidate classes (ABC fraig-style counterexample
+//! pattern (an input whose cone was never loaded reads as `false`). With
+//! [`SweepOptions::cex_refinement`] enabled (the default) that pattern is
+//! resimulated through the network and used to split the current and all
+//! still-pending candidate classes (ABC fraig-style counterexample
 //! refinement), so one refuted pair prunes every other candidate pair the
 //! pattern distinguishes — without further SAT calls.
+//!
+//! Proofs are exact, so when no pair runs out of its conflict budget the
+//! proved classes are the exact equivalence classes inside each candidate
+//! group, whatever order the proofs came in.
 
-use crate::tseitin::AigCnf;
-use aig::{Aig, Lit as ALit, Simulator};
-use sat::{Lit as SLit, SatResult, Solver};
-use std::collections::VecDeque;
+use aig::{Aig, AigNode, Lit as ALit, NodeId, Simulator};
+use sat::{cnf, Lit as SLit, SatResult, Solver};
+use std::collections::{HashMap, VecDeque};
 
 /// Options controlling a sweep.
 #[derive(Debug, Clone)]
@@ -47,10 +66,17 @@ impl Default for SweepOptions {
 }
 
 /// Statistics of a sweep run.
+///
+/// Every candidate pair is answered exactly once, either by the solver or
+/// structurally, so `sat_calls + structural == proved + disproved + unknown`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Number of candidate pairs submitted to SAT.
     pub sat_calls: usize,
+    /// Pairs proved equal without a SAT call: after substituting proved
+    /// representatives, both nodes are the same AND gate or load as the same
+    /// SAT literal.
+    pub structural: usize,
     /// Pairs proved equivalent.
     pub proved: usize,
     /// Pairs refuted.
@@ -107,7 +133,6 @@ impl SatSweeper {
         let sim = Simulator::random(aig, self.options.sim_words, self.options.sim_seed);
 
         // Group nodes by canonical signature (complement so that bit 0 is 0).
-        use std::collections::HashMap;
         let mut groups: HashMap<Vec<u64>, Vec<ALit>> = HashMap::new();
         for id in aig.node_ids() {
             let node = aig.node(id);
@@ -141,10 +166,10 @@ impl SatSweeper {
             return (EquivClasses::default(), stats);
         }
 
-        // One solver instance for all proofs.
+        // One solver instance for all proofs, loaded cone by cone.
         let mut solver = Solver::new();
         solver.set_conflict_budget(self.options.conflict_budget);
-        let cnf = AigCnf::encode(&mut solver, aig, None);
+        let mut cnf = LazyCnf::new(&mut solver, aig);
 
         let mut pending: VecDeque<Vec<ALit>> = candidate_classes.into();
         let mut proved_classes = Vec::new();
@@ -158,12 +183,10 @@ impl SatSweeper {
             while idx < class.len() {
                 let member = class[idx];
                 let phase = member.is_complemented() != rep.is_complemented();
-                let a = cnf.node(rep_node);
-                let b = cnf.node(member.node());
-                let b = if phase { !b } else { b };
-                match prove_equal(&mut solver, a, b, &mut stats) {
+                let member = ALit::new(member.node(), phase);
+                match cnf.prove_pair(&mut solver, aig, rep_node, member, &mut stats) {
                     Verdict::Equal => {
-                        proved.push(ALit::new(member.node(), phase));
+                        proved.push(member);
                         idx += 1;
                     }
                     Verdict::Unknown => idx += 1,
@@ -174,21 +197,18 @@ impl SatSweeper {
                         }
                         // The SAT model is a distinguishing input pattern:
                         // resimulate it and split every candidate class it
-                        // distinguishes. The refuted member is guaranteed to
-                        // disagree with the representative, so the current
-                        // class always shrinks.
-                        let pattern: Vec<bool> = cnf
-                            .input_lits
-                            .iter()
-                            .map(|&l| solver.value(l).unwrap_or(false))
-                            .collect();
+                        // distinguishes. The refuted member disagrees with
+                        // the representative under the pattern; it leaves the
+                        // class regardless, so the class always shrinks.
+                        let pattern = cnf.input_pattern(&solver, aig);
                         let values = aig.evaluate_nodes(&pattern);
                         stats.resimulations += 1;
                         let rep_val = values[rep_node.index()] ^ rep.is_complemented();
                         let tail: Vec<ALit> = class.split_off(idx);
                         let (agree, disagree): (Vec<ALit>, Vec<ALit>) =
                             tail.into_iter().partition(|m| {
-                                values[m.node().index()] ^ m.is_complemented() == rep_val
+                                m.node() != member.node()
+                                    && values[m.node().index()] ^ m.is_complemented() == rep_val
                             });
                         stats.cex_splits += disagree.len();
                         class.extend(agree);
@@ -287,6 +307,178 @@ enum Verdict {
     Equal,
     Different,
     Unknown,
+}
+
+/// Marks a node that has no SAT literal yet.
+const UNLOADED: SLit = SLit(u32::MAX);
+
+/// The sweep's CNF: loaded cone by cone, with every AND gate encoded over
+/// its fanins' proved representatives.
+struct LazyCnf {
+    /// Proved representative of each node: the node itself until a proof
+    /// maps it onto a class representative. Representatives are never
+    /// members of another class, so the map is always one step deep.
+    repr: Vec<ALit>,
+    /// SAT literal of each loaded node, [`UNLOADED`] otherwise.
+    lits: Vec<SLit>,
+    /// Encoded AND gates keyed by their ordered fanin SAT literals, so
+    /// structurally identical substituted gates share one variable.
+    strash: HashMap<u64, SLit>,
+    /// The constant-false literal (node 0).
+    false_lit: SLit,
+}
+
+impl LazyCnf {
+    fn new(solver: &mut Solver, aig: &Aig) -> Self {
+        let false_lit = SLit::pos(solver.new_var());
+        solver.add_clause(&[!false_lit]);
+        let mut lits = vec![UNLOADED; aig.num_nodes()];
+        lits[NodeId::CONST.index()] = false_lit;
+        LazyCnf {
+            repr: aig.node_ids().map(|id| ALit::new(id, false)).collect(),
+            lits,
+            strash: HashMap::new(),
+            false_lit,
+        }
+    }
+
+    /// `lit` with its node replaced by the node's proved representative.
+    fn resolve(&self, lit: ALit) -> ALit {
+        self.repr[lit.node().index()].xor(lit.is_complemented())
+    }
+
+    /// SAT literal of an AIG literal whose node is loaded.
+    fn lit(&self, lit: ALit) -> SLit {
+        let base = self.lits[lit.node().index()];
+        if lit.is_complemented() {
+            !base
+        } else {
+            base
+        }
+    }
+
+    /// Decides whether `member` (carrying its phase relative to `rep`)
+    /// equals `rep`: structurally when possible, by SAT otherwise. A proof
+    /// is recorded in the representative map.
+    fn prove_pair(
+        &mut self,
+        solver: &mut Solver,
+        aig: &Aig,
+        rep: NodeId,
+        member: ALit,
+        stats: &mut SweepStats,
+    ) -> Verdict {
+        let sat_verdict = if !member.is_complemented() && self.same_gate(aig, rep, member.node()) {
+            None
+        } else {
+            let a = self.node_lit(solver, aig, rep);
+            let b = self.node_lit(solver, aig, member.node());
+            let b = if member.is_complemented() { !b } else { b };
+            (a != b).then(|| prove_equal(solver, a, b, stats))
+        };
+        let verdict = sat_verdict.unwrap_or_else(|| {
+            stats.structural += 1;
+            stats.proved += 1;
+            Verdict::Equal
+        });
+        if matches!(verdict, Verdict::Equal) {
+            self.merge(
+                solver,
+                member.node(),
+                ALit::new(rep, member.is_complemented()),
+            );
+        }
+        verdict
+    }
+
+    /// Whether `a` and `b` are AND gates that read the same fanins once both
+    /// are mapped through the representative map.
+    fn same_gate(&self, aig: &Aig, a: NodeId, b: NodeId) -> bool {
+        let fanins = |id: NodeId| {
+            let (f0, f1) = aig.fanins(id);
+            let (f0, f1) = (self.resolve(f0), self.resolve(f1));
+            (f0.min(f1), f0.max(f1))
+        };
+        aig.node(a).is_and() && aig.node(b).is_and() && fanins(a) == fanins(b)
+    }
+
+    /// SAT literal of `node`, loading its (substituted) cone first.
+    fn node_lit(&mut self, solver: &mut Solver, aig: &Aig, node: NodeId) -> SLit {
+        let mut stack = vec![node];
+        while let Some(&id) = stack.last() {
+            if self.lits[id.index()] != UNLOADED {
+                stack.pop();
+                continue;
+            }
+            let lit = match aig.node(id) {
+                AigNode::Const => self.false_lit,
+                AigNode::Input { .. } => SLit::pos(solver.new_var()),
+                AigNode::And { fanin0, fanin1 } => {
+                    let (f0, f1) = (self.resolve(*fanin0), self.resolve(*fanin1));
+                    let before = stack.len();
+                    stack.extend(
+                        [f0.node(), f1.node()]
+                            .into_iter()
+                            .filter(|f| self.lits[f.index()] == UNLOADED),
+                    );
+                    if stack.len() > before {
+                        continue;
+                    }
+                    self.and(solver, self.lit(f0), self.lit(f1))
+                }
+            };
+            self.lits[id.index()] = lit;
+            stack.pop();
+        }
+        self.lits[node.index()]
+    }
+
+    /// Literal of `a AND b`: constant-folded, then looked up in (or added
+    /// to) the strash table.
+    fn and(&mut self, solver: &mut Solver, a: SLit, b: SLit) -> SLit {
+        let f = self.false_lit;
+        if a == f || b == f || a == !b {
+            return f;
+        }
+        if a == !f || a == b {
+            return b;
+        }
+        if b == !f {
+            return a;
+        }
+        let key = u64::from(a.0.min(b.0)) << 32 | u64::from(a.0.max(b.0));
+        *self.strash.entry(key).or_insert_with(|| {
+            let out = SLit::pos(solver.new_var());
+            cnf::encode_and(solver, out, a, b);
+            out
+        })
+    }
+
+    /// Records the proof `member ≡ target`. When both are loaded as
+    /// different SAT literals, the solver gets the equality clauses.
+    fn merge(&mut self, solver: &mut Solver, member: NodeId, target: ALit) {
+        let loaded = |node: NodeId| self.lits[node.index()] != UNLOADED;
+        if loaded(member) && loaded(target.node()) {
+            let (a, b) = (self.lits[member.index()], self.lit(target));
+            if a != b {
+                solver.add_clause(&[!a, b]);
+                solver.add_clause(&[a, !b]);
+            }
+        }
+        self.repr[member.index()] = target;
+    }
+
+    /// The input assignment of the last SAT model; an input whose cone was
+    /// never loaded reads as `false`.
+    fn input_pattern(&self, solver: &Solver, aig: &Aig) -> Vec<bool> {
+        aig.inputs()
+            .iter()
+            .map(|id| {
+                let lit = self.lits[id.index()];
+                lit != UNLOADED && solver.value(lit) == Some(true)
+            })
+            .collect()
+    }
 }
 
 fn prove_equal(solver: &mut Solver, a: SLit, b: SLit, stats: &mut SweepStats) -> Verdict {

@@ -1,6 +1,6 @@
 //! Tseitin encoding of AIGs into CNF.
 
-use aig::{Aig, AigNode, Lit as ALit, NodeId};
+use aig::{Aig, AigNode, Lit as ALit};
 use sat::{cnf, ClauseSink, Lit as SLit};
 
 /// The CNF image of an AIG inside a [`ClauseSink`] (a solver, the reference
@@ -87,11 +87,6 @@ impl AigCnf {
     /// Returns the SAT literal of an AIG literal.
     pub fn lit(&self, lit: ALit) -> SLit {
         Self::lift(&self.node_lits, lit)
-    }
-
-    /// Returns the SAT literal of an AIG node (uncomplemented).
-    pub fn node(&self, node: NodeId) -> SLit {
-        self.node_lits[node.index()]
     }
 }
 

@@ -301,8 +301,7 @@ fn extraction_to_class_selection(
 pub fn prepare_network(aig: &Aig, config: &FlowConfig) -> Aig {
     let mut current = aig.clone();
     for _ in 0..config.rounds.saturating_sub(1) {
-        let (next, _) = conventional_round(&current, config, true);
-        current = next;
+        current = optimize_round(&current, config, true);
     }
     sop_balance(&current.strash_copy(), &config.lut_options)
 }
@@ -442,7 +441,9 @@ pub fn extract_network(
 /// flow, exposed so re-extracted checkpoints can be re-mapped standalone.
 /// Returns the pre-mapping network and the mapped netlist.
 pub fn map_network(aig: &Aig, config: &FlowConfig) -> (Aig, Netlist) {
-    conventional_round(aig, config, false)
+    let optimized = optimize_round(aig, config, false);
+    let netlist = map_to_cells(&optimized, &config.library, &config.map_options);
+    (optimized, netlist)
 }
 
 /// The verification phase of [`emorphic_flow`] and the job server: proves
@@ -546,32 +547,33 @@ pub struct FlowResult {
     pub window: Option<WindowReport>,
 }
 
-fn conventional_round(aig: &Aig, config: &FlowConfig, with_sop: bool) -> (Aig, Netlist) {
+/// The technology-independent part of a conventional round:
+/// `st; [if -g; st;] dch`. Mapping is left to the caller, so rounds whose
+/// netlist nobody reads are never mapped.
+fn optimize_round(aig: &Aig, config: &FlowConfig, with_sop: bool) -> Aig {
     let mut current = aig.strash_copy();
     if with_sop {
         current = sop_balance(&current, &config.lut_options);
     }
     current = current.strash_copy();
-    current = dch_like(&current, &config.dch_options);
-    let netlist = map_to_cells(&current, &config.library, &config.map_options);
-    (current, netlist)
+    dch_like(&current, &config.dch_options)
 }
 
 /// Runs the delay-oriented baseline flow.
 pub fn baseline_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
     let start = Instant::now();
     let mut current = aig.clone();
-    let mut qor = map_to_cells(&current, &config.library, &config.map_options).qor();
-    let mut audit = AuditReport::new();
-    for round in 0..config.rounds {
-        let (next, netlist) = conventional_round(&current, config, true);
-        qor = netlist.qor();
-        if round + 1 == config.rounds {
-            audit.absorb("map", audit_netlist(&next, &netlist, config.audit_level));
-            audit.absorb("map", audit_aig_dag_only(&next, config.audit_level));
-        }
-        current = next;
+    for _ in 0..config.rounds {
+        current = optimize_round(&current, config, true);
     }
+    // Only the last round is mapped; with no rounds this maps the input.
+    let netlist = map_to_cells(&current, &config.library, &config.map_options);
+    let mut audit = AuditReport::new();
+    if config.rounds > 0 {
+        audit.absorb("map", audit_netlist(&current, &netlist, config.audit_level));
+        audit.absorb("map", audit_aig_dag_only(&current, config.audit_level));
+    }
+    let mut qor = netlist.qor();
     qor.name = aig.name().to_string();
     let runtime = start.elapsed();
     FlowResult {
@@ -726,7 +728,7 @@ pub fn emorphic_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
     // Backward conversion time is part of the extraction phase already; the
     // remaining work is the final (st; dch; map) round.
     let t_final = Instant::now();
-    let (final_aig, netlist) = conventional_round(&resynthesized, config, false);
+    let (final_aig, netlist) = map_network(&resynthesized, config);
     audit.absorb(
         "map",
         audit_netlist(&final_aig, &netlist, config.audit_level),

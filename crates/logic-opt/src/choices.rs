@@ -38,12 +38,7 @@ impl Default for DchOptions {
 /// functionally equivalent cones (including those only exposed by the
 /// alternative structure) are merged.
 pub fn dch_like(aig: &Aig, options: &DchOptions) -> Aig {
-    let combined = if options.use_alternative_structure {
-        let alternative = rewrite(&balance(aig));
-        aig::stack_over_shared_inputs(aig, &alternative, "_alt")
-    } else {
-        aig.clone()
-    };
+    let combined = with_alternative(aig, options);
     let sweeper = SatSweeper::new(options.sweep.clone());
     let (swept, _stats) = sweeper.sweep(&combined);
     // Keep only the original outputs (the alternative copies were appended
@@ -66,12 +61,7 @@ pub fn dch_choices(
     aig: &Aig,
     options: &DchOptions,
 ) -> Result<(ChoiceAig, RebuildStats, SweepStats), ChoiceError> {
-    let combined = if options.use_alternative_structure {
-        let alternative = rewrite(&balance(aig));
-        aig::stack_over_shared_inputs(aig, &alternative, "_alt")
-    } else {
-        aig.clone()
-    };
+    let combined = with_alternative(aig, options);
     let sweeper = SatSweeper::new(options.sweep.clone());
     let (equiv, sweep_stats) = sweeper.find_equivalences(&combined);
     // Only the original outputs survive; the alternative copies exist purely
@@ -79,6 +69,18 @@ pub fn dch_choices(
     let trimmed = keep_outputs_with_dangling(&combined, aig.num_outputs());
     let (network, rebuild_stats) = ChoiceAig::from_network_with_classes(&trimmed, &equiv.classes)?;
     Ok((network, rebuild_stats, sweep_stats))
+}
+
+/// The network [`dch_like`] and [`dch_choices`] sweep: `aig` with a
+/// `rewrite(balance(aig))` alternative stacked over shared inputs (its
+/// outputs appended after the original ones), or `aig` itself when
+/// [`DchOptions::use_alternative_structure`] is off.
+fn with_alternative(aig: &Aig, options: &DchOptions) -> Aig {
+    if options.use_alternative_structure {
+        aig::stack_over_shared_inputs(aig, &rewrite(&balance(aig)), "_alt")
+    } else {
+        aig.clone()
+    }
 }
 
 /// Keeps the first `count` outputs but, unlike [`keep_first_outputs`], does
@@ -180,6 +182,29 @@ mod tests {
             assert_eq!(out[0], out[2], "pattern {p}");
             assert_eq!(out[1], out[3], "pattern {p}");
         }
+    }
+
+    #[test]
+    fn sweeping_a_balanced_copy_reuses_proofs() {
+        // A deep AND chain under some logic: balancing turns the chain into
+        // a tree, and once the tree's root is proved equal to the chain's
+        // end, the copy of the logic above it is proved structurally.
+        let mut aig = Aig::new("chain");
+        let x: Vec<Lit> = (0..8).map(|i| aig.add_input(format!("x{i}"))).collect();
+        let (c, d) = (aig.add_input("c"), aig.add_input("d"));
+        let chain = x[1..].iter().fold(x[0], |acc, &xi| aig.and(acc, xi));
+        let g = aig.xor(chain, c);
+        let h = aig.mux(d, g, c);
+        aig.add_output(g, "g");
+        aig.add_output(h, "h");
+        let stacked = aig::stack_over_shared_inputs(&aig, &balance(&aig), "_alt");
+        let (_, stats) = SatSweeper::default().find_equivalences(&stacked);
+        assert!(stats.structural > 0, "{stats:?}");
+        assert_eq!(
+            stats.sat_calls + stats.structural,
+            stats.proved + stats.disproved + stats.unknown,
+            "{stats:?}"
+        );
     }
 
     #[test]

@@ -78,9 +78,10 @@ g = (a * b * d) + (t1 * !c);
     let sweeper = SatSweeper::default();
     let (reduced, stats) = sweeper.sweep(&golden);
     println!(
-        "SAT sweeping: {} SAT calls, {} proved, {} merged nodes; {} -> {} ANDs",
+        "SAT sweeping: {} SAT calls, {} proved ({} structurally), {} merged nodes; {} -> {} ANDs",
         stats.sat_calls,
         stats.proved,
+        stats.structural,
         stats.merged_nodes,
         golden.num_ands(),
         reduced.num_ands()
